@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race racecp bench crashcheck affcheck clustercheck overloadcheck clonecheck ci clean
+.PHONY: all build test vet race racecp bench crashcheck affcheck overloadcheck ci clean
 
 all: build
 
@@ -29,11 +29,15 @@ bench:
 	$(GO) run ./cmd/waflbench -exp overload -benchjson BENCH_PR7.json
 	$(GO) run ./cmd/waflbench -exp clonefleet -benchjson BENCH_PR8.json
 
-# crashcheck runs the bounded crash-schedule fault-injection sweep: crash at
-# dozens of reproducible points (event indices + CP phase boundaries),
-# recover, fsck, and verify every acknowledged op — twice, via double crash.
+# crashcheck runs the fixed crash corpus (harness.CrashCorpus): whole-node
+# crashes at event indices and CP phase boundaries under both CP modes, one
+# point mid admission shedding, the clone window, member crashes on a
+# two-member cluster, and combined-feature cases. Every point is recovered,
+# crashed again before it runs, quiesced, and checked against the model of
+# acknowledged state plus fsck on each leg. Deeper search:
+# go test -fuzz=FuzzCrashCase ./harness
 crashcheck:
-	$(GO) run ./cmd/waflbench -crashsweep -crashpoints 8 -crashseeds 1,2 -crashphases 9
+	$(GO) run ./cmd/waflbench -crashcheck
 
 # affcheck enforces the single-point member resolution rule: among the
 # facade sources, only member.go may index the Waffinity hierarchy's
@@ -55,27 +59,11 @@ affcheck:
 overloadcheck:
 	$(GO) run ./cmd/waflbench -overloadcheck
 
-# clustercheck runs the bounded multi-member crash sweep: one member of a
-# two-member cluster is crashed at reproducible event indices while the
-# survivor serves traffic, then recovered in place (plus an immediate double
-# crash), with per-member fsck and oracle verification.
-clustercheck:
-	$(GO) run ./cmd/waflbench -clustersweep -crashpoints 6 -crashseeds 1,2
-
-# clonecheck runs the clone/restore crash sweep: the in-repo per-boundary
-# crash tests (clone create, clone split, SnapRestore, each crashed at all
-# nine CP phase boundaries) plus the harness's scripted clone-ops window
-# (snapshot -> clone -> divergence -> split -> restore) crashed at 18
-# consecutive boundaries, every leg checked against the clone oracle + fsck.
-clonecheck:
-	$(GO) test -count=1 -run 'TestClone|TestSnapRestore|TestBCacheRestore' .
-	$(GO) run ./cmd/waflbench -clonecheck -clonepoints 18
-
-# ci is the gate run before merging: vet, build, the affinity-access gate,
-# the full test suite under the race detector, the bounded crash sweeps
-# (whole-node, single-member, and clone/restore), and the admission-control
-# SLO check.
-ci: vet build affcheck race racecp crashcheck clustercheck clonecheck overloadcheck
+# ci is the gate run before merging (GitHub CI runs it as is): vet, build,
+# the affinity-access gate, the full test suite under the race detector, the
+# parallel-CP race gate, the crash corpus and the admission-control SLO
+# check.
+ci: vet build affcheck race racecp crashcheck overloadcheck
 
 clean:
 	rm -f wafltop waflbench *.test

@@ -9,8 +9,7 @@
 //	waflbench -exp fig4       # one experiment: fig4..fig9, batch, ablations
 //	waflbench -window 400ms   # measurement window
 //	waflbench -exp fig4 -trace fig4   # dump fig4-NNN.json Perfetto timelines
-//	waflbench -crashsweep     # crash-schedule fault-injection sweep (§II-C)
-//	waflbench -clustersweep   # independent member-crash sweep on a cluster
+//	waflbench -crashcheck     # crash corpus: crash, recover, verify (§II-C)
 //	waflbench -exp agedvol -benchjson BENCH.json   # machine-readable results
 //	waflbench -exp flexgroup -members 4 -benchjson BENCH.json  # cluster scaling
 package main
@@ -36,13 +35,7 @@ func main() {
 	members := flag.Int("members", 1, "cluster width: flexgroup sweeps 1..members (doubling); other experiments run at this width")
 	trace := flag.String("trace", "", "dump one Chrome trace JSON per measurement as <prefix>-NNN.json")
 	traceEvents := flag.Int("trace-events", 0, "trace ring-buffer capacity in events (0 = default)")
-	crashsweep := flag.Bool("crashsweep", false, "run the crash-schedule fault-injection sweep instead of the figures")
-	crashPoints := flag.Int("crashpoints", 8, "crashsweep: event-index crash points per seed")
-	crashSeeds := flag.String("crashseeds", "1,2", "crashsweep: comma-separated workload seeds")
-	crashPhases := flag.Int("crashphases", 9, "crashsweep: CP phase-boundary crash points (0 = off)")
-	clustersweep := flag.Bool("clustersweep", false, "run the independent member-crash sweep instead of the figures")
-	clonecheck := flag.Bool("clonecheck", false, "run the clone/restore crash sweep (clone create, split, SnapRestore crashed at CP phase boundaries) instead of the figures")
-	clonePoints := flag.Int("clonepoints", 18, "clonecheck: CP phase-boundary crash points inside the clone-ops window")
+	crashcheck := flag.Bool("crashcheck", false, "run the crash corpus (crash, recover, double crash, verify every acknowledged op) instead of the figures")
 	overloadcheck := flag.Bool("overloadcheck", false, "run the admission-control SLO check instead of the figures (exit 1 on violation)")
 	flag.Parse()
 
@@ -57,16 +50,15 @@ func main() {
 		return
 	}
 
-	if *crashsweep {
-		runCrashSweep(*crashPoints, *crashSeeds, *crashPhases)
-		return
-	}
-	if *clustersweep {
-		runClusterSweep(*members, *crashPoints, *crashSeeds)
-		return
-	}
-	if *clonecheck {
-		runCloneCheck(*clonePoints)
+	if *crashcheck {
+		start := time.Now()
+		tab, err := harness.CrashCheck(harness.CrashCorpus())
+		fmt.Println(tab.String())
+		fmt.Printf("(crashcheck took %.1fs host time)\n", time.Since(start).Seconds())
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "crashcheck: %v\n", err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -183,104 +175,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %d benchmark results to %s\n", len(benchResults), *benchjson)
-	}
-}
-
-// runCrashSweep executes the crash-schedule sweep and exits nonzero if any
-// crash point fails verification.
-func runCrashSweep(points int, seeds string, phases int) {
-	cfg := harness.DefaultCrashSweep()
-	cfg.Points = points
-	cfg.Phases = phases
-	cfg.Seeds = nil
-	for _, s := range strings.Split(seeds, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		var seed int64
-		if _, err := fmt.Sscanf(s, "%d", &seed); err != nil {
-			fmt.Fprintf(os.Stderr, "crashsweep: bad seed %q: %v\n", s, err)
-			os.Exit(2)
-		}
-		cfg.Seeds = append(cfg.Seeds, seed)
-	}
-	if len(cfg.Seeds) == 0 {
-		fmt.Fprintln(os.Stderr, "crashsweep: no seeds")
-		os.Exit(2)
-	}
-	start := time.Now()
-	tab, res, err := harness.CrashSweep(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "crashsweep: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(tab.String())
-	fmt.Printf("(crashsweep took %.1fs host time)\n", time.Since(start).Seconds())
-	if !res.OK() {
-		os.Exit(1)
-	}
-}
-
-// runCloneCheck executes only the clone-ops crash schedule — the scripted
-// snapshot → clone create → divergence → split → SnapRestore window crashed
-// at consecutive CP phase boundaries — and exits nonzero on any failure.
-func runCloneCheck(points int) {
-	cfg := harness.DefaultCrashSweep()
-	cfg.Points = 0
-	cfg.Phases = 0
-	cfg.Overload = false
-	cfg.CloneOps = true
-	cfg.ClonePoints = points
-	cfg.Seeds = []int64{1}
-	start := time.Now()
-	tab, res, err := harness.CrashSweep(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clonecheck: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(tab.String())
-	fmt.Printf("(clonecheck took %.1fs host time)\n", time.Since(start).Seconds())
-	if !res.OK() {
-		os.Exit(1)
-	}
-}
-
-// runClusterSweep executes the independent member-crash sweep and exits
-// nonzero if any crash point fails verification.
-func runClusterSweep(members, points int, seeds string) {
-	cfg := harness.DefaultClusterSweep()
-	if members > 1 {
-		cfg.Base.Members = members
-	}
-	cfg.Points = points
-	cfg.Seeds = nil
-	for _, s := range strings.Split(seeds, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		var seed int64
-		if _, err := fmt.Sscanf(s, "%d", &seed); err != nil {
-			fmt.Fprintf(os.Stderr, "clustersweep: bad seed %q: %v\n", s, err)
-			os.Exit(2)
-		}
-		cfg.Seeds = append(cfg.Seeds, seed)
-	}
-	if len(cfg.Seeds) == 0 {
-		fmt.Fprintln(os.Stderr, "clustersweep: no seeds")
-		os.Exit(2)
-	}
-	start := time.Now()
-	tab, res, err := harness.ClusterSweep(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clustersweep: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(tab.String())
-	fmt.Printf("(clustersweep took %.1fs host time)\n", time.Since(start).Seconds())
-	if !res.OK() {
-		os.Exit(1)
 	}
 }
 
